@@ -2,7 +2,8 @@
 
 Subpackages:
 
-* ``bagmodel``  - model parameters, closed-form massless modes, quadrature
+* ``bagmodel``  - model parameters, closed-form modes (massless, and
+  lam = 0 at any mass), quadrature
 * ``shooting``  - general eigensolver (initial-value integration + root finding)
 * ``oracle``    - independent finite-difference eigensolver for validation
 * ``perturb``   - first/second-order energy shifts under two occupancy

@@ -1,4 +1,4 @@
-"""Model definition and closed-form massless solutions.
+"""Model definition and the closed-form lam = 0 basis.
 
 A single relativistic particle lives on [-a, a] with the confining
 boundary conditions
@@ -8,26 +8,26 @@ boundary conditions
 and feels the linear potential V(x) = lam*x.  Natural units (hbar = c = 1)
 are used throughout, so energies carry dimension 1/length.
 
-In the massless case the two-component equation decouples in the
-combinations w_pm = u +- i v, which are pure phases,
+At lam = 0 the first-order system has constant coefficients for every
+mass.  With k_j = (2j+1)*pi/(4a) the levels are
 
-    w_pm(x) = C_pm * exp(+-i*(lam*x^2/2 - eps*x)),
+    eps_n = +-sqrt(m^2 + k_j^2),   j = n for n >= 0,  j = -n-1 for n < 0,
 
-and the boundary conditions quantise the energy to
+and, normalised with u(-a) real and positive, the spinor is real:
 
-    eps_n = (2n + 1) * pi / (4a),   n = 0, +-1, +-2, ...
+    u(x) = A*(cos phi + q*sin phi),   v(x) = A*(cos phi - q*sin phi),
+    phi = k_j*(x + a),   q = (eps - m)/k_j,   A = 1/sqrt(2a*(1 + q^2)).
 
-independently of lam.  The amplitudes obey C_+ = i*C_- * exp(-i*(lam*a^2
-+ 2*eps*a)); together with |C_+| = |C_-| the probability density is the
-constant 1/(2a) for every massless mode.
+u(-a) = v(-a) = A, and cos(2*k_j*a) = 0 gives u(+a) = -v(+a).
 
-Phase convention: every mode is normalised with u(-a) real and positive,
-which makes matrix elements reproducible across the analytic and the
-shooting representations.  With that choice the massless spinor is real:
+In the massless case the combinations w_pm = u +- i v are pure phases,
+which quantises the energy to eps_n = (2n+1)*pi/(4a) independently of
+lam.  The same real spinor with q = 1 and the phase
 
-    u(x) =  cos(phi(x) - pi/4) / sqrt(2a)
-    v(x) = -sin(phi(x) - pi/4) / sqrt(2a),
-    phi(x) = lam*(a^2 - x^2)/2 + eps*(x + a).
+    phi(x) = lam*(a^2 - x^2)/2 + eps*(x + a)
+
+solves the massless problem at every lam, with the constant density
+u^2 + v^2 = 1/(2a).
 
 Quadrature: all integrals over [-a, a] use composite 32-node
 Gauss-Legendre panels, with enough panels that the phase budget
@@ -47,6 +47,7 @@ __all__ = [
     "Mode",
     "ClosedFormMode",
     "massless_levels",
+    "lam0_basis",
     "closed_form_mode",
     "eval_mode",
     "overlap",
@@ -68,6 +69,9 @@ class BagConfig:
     lam: float = 0.0
 
     def __post_init__(self):
+        for name in ("a", "mass", "lam"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not (self.a > 0.0):
             raise ValueError(f"half-width a must be positive, got {self.a}")
         if self.mass < 0.0:
@@ -99,22 +103,24 @@ class Mode:
 
 @dataclass(frozen=True)
 class ClosedFormMode:
-    """Analytic massless mode: amplitudes C_pm, energy, coupling, width."""
+    """Analytic mode u = A(cos phi + q sin phi), v = A(cos phi - q sin phi)
+    with phi = lam*(a^2 - x^2)/2 + k*(x + a) (see the module docstring)."""
 
-    c_plus: complex
-    c_minus: complex
     energy: float
+    k: float
+    q: float
+    mass: float
     lam: float
     a: float
 
     def as_mode(self, index: int) -> Mode:
-        cfg = BagConfig(a=self.a, mass=0.0, lam=self.lam)
+        cfg = BagConfig(a=self.a, mass=self.mass, lam=self.lam)
         spinor = lambda x: eval_mode(self, x)
-        # Pure-phase w_pm make the density exactly 1/(2a); the quadrature
-        # residual is recomputed anyway as a sanity value.
+        # The spinor is normalised by construction; the quadrature residual
+        # is recomputed anyway as a sanity value.
         xs, ws = panel_quadrature(self.a, mode_phase_budget(self.energy, self.lam, self.a) * 2.0)
         u, v = eval_mode(self, xs)
-        norm = float(np.sum(ws * (np.abs(u) ** 2 + np.abs(v) ** 2)))
+        norm = float(np.sum(ws * (u * u + v * v)))
         return Mode(index=index, energy=self.energy, spinor=spinor,
                     norm_check=abs(norm - 1.0), config=cfg)
 
@@ -129,32 +135,49 @@ def massless_levels(a: float, n_lo: int, n_hi: int) -> np.ndarray:
     return (2 * n + 1) * (math.pi / (4.0 * a))
 
 
-def closed_form_mode(n: int, lam: float, a: float) -> ClosedFormMode:
-    """Normalised massless mode for level n with the u(-a) > 0 convention."""
+def lam0_basis(a: float, mass: float, n):
+    """Energies eps_n, wavenumbers k_j and ratios q = (eps - m)/k of the
+    lam = 0 levels n (scalar or array).
+
+    q is taken as k/(eps + m) for eps > 0, which avoids the cancellation
+    in eps - m; at mass = 0 it is exactly +-1 and eps_n is exactly the
+    ``massless_levels`` value.
+    """
+    n = np.asarray(n)
+    j = np.where(n >= 0, n, -n - 1)
+    k = (2 * j + 1) * (math.pi / (4.0 * a))
+    e = np.hypot(mass, k)
+    energies = np.where(n >= 0, e, -e)
+    q = np.where(n >= 0, k / (e + mass), -(e + mass) / k)
+    return energies, k, q
+
+
+def closed_form_mode(n: int, lam: float, a: float, mass: float = 0.0) -> ClosedFormMode:
+    """Normalised mode for level n with the u(-a) > 0 convention.
+
+    Closed forms exist for mass = 0 at any lam and for lam = 0 at any mass.
+    """
     if not (a > 0.0):
         raise ValueError(f"half-width a must be positive, got {a}")
-    eps = (2 * n + 1) * math.pi / (4.0 * a)
-    # w_-(-a) = exp(-i*pi/4)/sqrt(2a) pins the overall phase.
-    c_minus = np.exp(-0.25j * math.pi) / math.sqrt(2.0 * a) \
-        * np.exp(1j * (0.5 * lam * a * a + eps * a))
-    c_plus = 1j * c_minus * np.exp(-1j * (lam * a * a + 2.0 * eps * a))
-    return ClosedFormMode(c_plus=complex(c_plus), c_minus=complex(c_minus),
-                          energy=eps, lam=lam, a=a)
+    if mass != 0.0 and lam != 0.0:
+        raise ValueError(f"no closed form for mass = {mass} and lam = {lam}; "
+                         "one of them must be zero")
+    eps, k, q = (float(v) for v in lam0_basis(a, mass, n))
+    if mass == 0.0:
+        # q = 1 with the signed phase eps*(x + a) holds at every lam.
+        k, q = eps, 1.0
+    return ClosedFormMode(energy=eps, k=k, q=q, mass=mass, lam=lam, a=a)
 
 
 def eval_mode(mode: ClosedFormMode, x):
-    """Spinor (u, v) of a closed-form mode at x, from u = (w+ + w-)/2,
-    v = (w+ - w-)/(2i)."""
+    """Real spinor (u, v) of a closed-form mode at x."""
     x = np.asarray(x, dtype=float)
     if np.any(np.abs(x) > mode.a * (1.0 + 1e-12)):
         raise ValueError(f"evaluation point outside [-a, a], a={mode.a}")
-    phase = 0.5 * mode.lam * x * x - mode.energy * x
+    phase = 0.5 * mode.lam * (mode.a * mode.a - x * x) + mode.k * (x + mode.a)
     c, s = np.cos(phase), np.sin(phase)
-    w_plus = mode.c_plus * (c + 1j * s)
-    w_minus = mode.c_minus * (c - 1j * s)
-    u = 0.5 * (w_plus + w_minus)
-    v = (w_plus - w_minus) / 2.0j
-    return u, v
+    amp = 1.0 / math.sqrt(2.0 * mode.a * (1.0 + mode.q * mode.q))
+    return amp * (c + mode.q * s), amp * (c - mode.q * s)
 
 
 def mode_phase_budget(energy: float, lam: float, a: float) -> float:

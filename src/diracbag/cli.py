@@ -17,7 +17,8 @@ doubles round-trip exactly; identical inputs produce byte-identical
 output (the run id is a hash of the inputs, no timestamps anywhere).
 
 Exit codes: 0 success (including unconverged-but-reported sums),
-1 numeric failure (diagnostic payload still emitted), 2 usage error.
+1 numeric failure (diagnostic payload still emitted), 2 usage error
+(non-finite numbers included; they are rejected before any compute).
 """
 
 from __future__ import annotations
@@ -153,6 +154,13 @@ def _inputs_dict(args) -> dict:
 
 
 def _validate(args) -> None:
+    values = [("--a", args.a), ("--mass", args.mass), ("--lambda", args.lam),
+              ("--tol", args.tol)]
+    if getattr(args, "window", None) is not None:
+        values += [("--window", w) for w in args.window]
+    for flag, value in values:
+        if not math.isfinite(value):
+            raise UsageError(f"{flag} must be finite, got {value}")
     if not (args.a > 0.0):
         raise UsageError(f"--a must be positive, got {args.a}")
     if args.mass < 0.0:

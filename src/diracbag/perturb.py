@@ -20,15 +20,22 @@ indices to N, negative ones to N/2) is available to expose how the
 partial sums move when the pairing is broken.
 
 Matrix elements <j|x|k> are real with the u(-a) > 0 phase convention.
-When mass = 0 the ground row is closed form: the mode pair density
-u_0 u_k + v_0 v_k = cos((eps_0 - eps_k)(x + a))/(2a) integrates against x
-to <0|x|k> = -4a/(pi^2 k^2) for odd k and to exactly 0 for even k
-(k = 0 included), and the gaps are eps_0 - eps_k = -k*pi/(2a).  The row
-is then exact, the same on every platform, and each +-k Feynman pair
-cancels bit for bit.  When mass > 0 the row is a quadrature integral of
-x*(u_0 u_k + v_0 v_k) over shooting modes.  ``x_matrix_element`` and
-``first_order`` stay quadrature in both cases, an independent cross-check
-of the closed form.
+The basis is the closed-form lam = 0 spectrum of ``bagmodel`` for every
+mass, and so is the ground row.  With s = x + a, the mode pair density is
+
+    u_0 u_k + v_0 v_k = [w_- cos(j*pi*s/(2a)) + w_+ cos((j+1)*pi*s/(2a))]/(2a),
+    w_- = (1 + q_0 q_k)/r,   w_+ = (1 - q_0 q_k)/r,   r = sqrt((1 + q_0^2)(1 + q_k^2)),
+
+where k_j is the wavenumber of level k (j = k for k >= 0, j = -k-1 for
+k < 0) and q_k = (eps_k - m)/k_j.  Against x, cos(N*pi*s/(2a))/(2a)
+integrates to -4a/(pi^2 N^2) for odd N and to 0 otherwise, so <0|x|k> is
+-4a/pi^2 times w/N^2 for the one odd frequency N of j and j+1.  At
+mass = 0, q = +-1 makes the weights exactly 1 and 0: <0|x|k> =
+-4a/(pi^2 k^2) for odd k and exactly 0 for even k (k = 0 included), and
+the gaps are taken as eps_0 - eps_k = -k*pi/(2a).  The row is then exact,
+the same on every platform, and each +-k Feynman pair cancels bit for
+bit.  ``x_matrix_element`` and ``first_order`` integrate the modes by
+quadrature, an independent cross-check of the row formula.
 """
 
 from __future__ import annotations
@@ -40,7 +47,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import shooting
-from .bagmodel import (BagConfig, Mode, closed_form_mode, massless_levels,
+from .bagmodel import (BagConfig, Mode, closed_form_mode, lam0_basis,
                        mode_phase_budget, panel_quadrature)
 
 __all__ = [
@@ -102,96 +109,41 @@ def _require_same_basis(mode_j: Mode, mode_k: Mode) -> None:
             f"modes from different configurations: {mode_j.config} vs {mode_k.config}")
 
 
-def _x_element(a, lam_basis, spinor_j, e_j, spinor_k, e_k) -> complex:
-    budget = (mode_phase_budget(e_j, lam_basis, a)
-              + mode_phase_budget(e_k, lam_basis, a))
-    xs, ws = panel_quadrature(a, budget)
-    uj, vj = spinor_j(xs)
-    uk, vk = spinor_k(xs)
-    return complex(np.sum(ws * xs * (np.conj(uj) * uk + np.conj(vj) * vk)))
-
-
 def x_matrix_element(mode_j: Mode, mode_k: Mode) -> complex:
     """<j|x|k> = integral x*(conj(u_j) u_k + conj(v_j) v_k) dx."""
     _require_same_basis(mode_j, mode_k)
     cfg = mode_j.config
-    return _x_element(cfg.a, cfg.lam, mode_j.spinor, mode_j.energy,
-                      mode_k.spinor, mode_k.energy)
+    budget = (mode_phase_budget(mode_j.energy, cfg.lam, cfg.a)
+              + mode_phase_budget(mode_k.energy, cfg.lam, cfg.a))
+    xs, ws = panel_quadrature(cfg.a, budget)
+    uj, vj = mode_j.spinor(xs)
+    uk, vk = mode_k.spinor(xs)
+    return complex(np.sum(ws * xs * (np.conj(uj) * uk + np.conj(vj) * vk)))
 
 
 def unperturbed_modes(cfg: BagConfig, indices) -> dict:
-    """Basis modes of the lam = 0 problem, keyed by level index."""
-    indices = sorted(set(int(i) for i in indices))
-    base = cfg.without_potential()
-    if cfg.mass == 0.0:
-        return {n: closed_form_mode(n, 0.0, cfg.a).as_mode(n) for n in indices}
-    out = {}
-    pos = [n for n in indices if n >= 0]
-    neg = [n for n in indices if n < 0]
-    if pos:
-        hi = _level_energy_bound(cfg, max(pos))
-        spec = shooting.find_levels(base, (0.0, hi))
-        for n in pos:
-            out[n] = spec.mode(n)
-    if neg:
-        lo = -_level_energy_bound(cfg, min(neg))
-        spec = shooting.find_levels(base, (lo, 0.0))
-        for n in neg:
-            out[n] = spec.mode(n)
-    return out
-
-
-def _level_energy_bound(cfg: BagConfig, level: int) -> float:
-    k = (2 * abs(level) + 2) * math.pi / (4.0 * cfg.a)
-    return math.hypot(cfg.mass, k) + math.pi / (8.0 * cfg.a)
-
-
-# Cache of massive ground rows keyed by (a, mass, cutoff), so the two
-# prescriptions of one compare share a row.  A row is never sliced from a
-# longer one: the longer row's shooting window moves the modes in the last
-# bits, and a result must not depend on what the process computed before.
-_row_cache: dict = {}
-_ROW_CACHE_MAX = 8
+    """Closed-form basis modes of the lam = 0 problem, keyed by level index."""
+    return {n: closed_form_mode(n, 0.0, cfg.a, cfg.mass).as_mode(n)
+            for n in sorted(set(int(i) for i in indices))}
 
 
 def _ground_row(cfg: BagConfig, cutoff: int):
     """Energies eps_k and elements <0|x|k> for k in [-cutoff, cutoff].
 
     Returns (energies, elements) as arrays indexed by k + cutoff; the
-    k = 0 element slot holds <0|x|0>.  The massless row is closed form
-    (see the module docstring); the massive row is quadrature over
-    shooting modes.
+    k = 0 element slot holds <0|x|0>.  Both are closed form for every mass
+    (see the module docstring).
     """
-    if cfg.mass == 0.0:
-        return _massless_row(cfg.a, cutoff)
-    key = (cfg.a, cfg.mass, cutoff)
-    if key in _row_cache:
-        return _row_cache[key]
-
-    modes = unperturbed_modes(cfg, range(-cutoff, cutoff + 1))
-    mode0 = modes[0]
     ks = np.arange(-cutoff, cutoff + 1)
-    energies = np.array([modes[k].energy for k in ks])
-    elements = np.empty(len(ks))
-    for i, k in enumerate(ks):
-        el = _x_element(cfg.a, 0.0, mode0.spinor, mode0.energy,
-                        modes[k].spinor, modes[k].energy)
-        elements[i] = el.real
-    if len(_row_cache) >= _ROW_CACHE_MAX:
-        _row_cache.clear()
-    _row_cache[key] = (energies, elements)
+    energies, _, q = lam0_basis(cfg.a, cfg.mass, ks)
+    q0 = q[cutoff]
+    j = np.where(ks >= 0, ks, -ks - 1)
+    odd = j % 2 == 1
+    freq = np.where(odd, j, j + 1).astype(float)
+    w = np.where(odd, 1.0 + q0 * q, 1.0 - q0 * q) / np.sqrt((1.0 + q0 * q0) * (1.0 + q * q))
+    # Adding +0.0 turns the -0.0 of the vanishing (w = 0) slots into +0.0.
+    elements = (-4.0 * cfg.a / math.pi ** 2) * w / (freq * freq) + 0.0
     return energies, elements
-
-
-def _massless_row(a: float, cutoff: int):
-    """Closed-form massless ground row: <0|x|k> = -4a/(pi^2 k^2) for odd k,
-    exactly 0.0 for even k."""
-    ks = np.arange(-cutoff, cutoff + 1)
-    odd = ks % 2 == 1
-    k = ks[odd].astype(float)
-    elements = np.zeros(len(ks))
-    elements[odd] = (-4.0 * a / math.pi ** 2) / (k * k)
-    return massless_levels(a, -cutoff, cutoff), elements
 
 
 def first_order(cfg: BagConfig, level: int) -> float:
@@ -218,8 +170,10 @@ def _term_arrays(cfg: BagConfig, cutoff: int):
         e0 = energies[cutoff]
         den_pos = e0 - energies[cutoff + ks]
         den_neg = e0 - energies[cutoff - ks]
-    t_pos = lam2 * el_pos * el_pos / den_pos
-    t_neg = lam2 * el_neg * el_neg / den_neg
+    # Adding +0.0 keeps the vanishing terms (lam = 0, even massless k) from
+    # being -0.0, the sign of 0.0 divided by a negative gap.
+    t_pos = lam2 * el_pos * el_pos / den_pos + 0.0
+    t_neg = lam2 * el_neg * el_neg / den_neg + 0.0
     return t_pos, t_neg
 
 

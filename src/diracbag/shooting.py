@@ -10,7 +10,8 @@ mismatch
 Eigenvalues are the roots of M.  They are located by sign-change
 bracketing on a grid of spacing <= pi/(8a) (finer than half the
 asymptotic level spacing pi/(2a)) and polished by bisection with secant
-acceleration to |d eps| < tol (default 1e-12) or 200 iterations.
+acceleration to |d eps| < tol (default 1e-12); a bracket still wider than
+tol after 200 iterations raises NumericsError.
 
 Sign conventions of the first-order system (reduces to the massless
 equations at mass = 0; the mass couples off-diagonally so that the
@@ -125,7 +126,11 @@ def shoot(eps: float, cfg: BagConfig, tol: float = 1.0e-12,
 
 
 def _refine_roots(lo, hi, f_lo, f_hi, cfg, n_steps, tol):
-    """Vectorised safeguarded bisection with secant acceleration."""
+    """Vectorised safeguarded bisection with secant acceleration.
+
+    Raises NumericsError when some bracket is still wider than tol after
+    _MAX_REFINE_ITERS iterations.
+    """
     lo = lo.copy(); hi = hi.copy()
     f_lo = f_lo.copy(); f_hi = f_hi.copy()
     x_prev, f_prev = lo.copy(), f_lo.copy()
@@ -147,6 +152,12 @@ def _refine_roots(lo, hi, f_lo, f_hi, cfg, n_steps, tol):
         f_hi = np.where(same_side, f_hi, f_cand)
         x_prev, f_prev = x_cur, f_cur
         x_cur, f_cur = cand, f_cand
+    width = hi - lo
+    if not np.all(width <= tol):
+        raise NumericsError(
+            f"root refinement did not converge in {_MAX_REFINE_ITERS} iterations: "
+            f"widest final bracket {float(np.max(width)):.3g} > tol {tol:.3g} "
+            f"(a={cfg.a}, mass={cfg.mass}, lam={cfg.lam})")
     return 0.5 * (lo + hi)
 
 

@@ -1,4 +1,4 @@
-"""Closed-form massless modes: spectrum, amplitudes, quadrature, overlaps."""
+"""Closed-form modes: massless spectrum, lam = 0 basis, quadrature, overlaps."""
 
 import math
 
@@ -42,12 +42,24 @@ def test_quantisation_identity():
             assert abs(np.exp(4j * eps * a) + 1.0) < 1e-12
 
 
-def test_amplitude_relation_exact():
-    for (n, lam, a) in [(0, 0.0, 1.0), (0, 3.0, 1.0), (1, 1.0, 1.0), (-2, 2.5, 0.7)]:
-        m = bm.closed_form_mode(n, lam, a)
-        rel = m.c_plus - 1j * m.c_minus * np.exp(-1j * (lam * a * a + 2 * m.energy * a))
-        assert abs(rel) == 0.0
-        assert abs(abs(m.c_plus) - abs(m.c_minus)) < 1e-15
+@pytest.mark.parametrize("n, lam, a, mass", [
+    (0, 0.0, 1.0, 0.0), (0, 3.0, 1.0, 0.0), (1, 1.0, 1.0, 0.0), (-2, 2.5, 0.7, 0.0),
+    (0, 0.0, 1.0, 1.0), (3, 0.0, 1.13, 0.7), (-3, 0.0, 1.13, 0.7), (-1, 0.0, 0.8, 2.0)])
+def test_closed_form_spinor_solves_dirac_equation(n, lam, a, mass):
+    # Fourth-order central differences of the spinor against shooting.rhs,
+    # and both boundary conditions.
+    mode = bm.closed_form_mode(n, lam, a, mass)
+    spinor = lambda x: np.array(bm.eval_mode(mode, x))
+    h = 1e-3
+    xs = np.linspace(-a + 2 * h, a - 2 * h, 41)
+    der = (spinor(xs - 2 * h) - 8 * spinor(xs - h)
+           + 8 * spinor(xs + h) - spinor(xs + 2 * h)) / (12 * h)
+    rhs = shooting.rhs(xs, spinor(xs), mode.energy, bm.BagConfig(a, mass, lam))
+    assert np.max(np.abs(der - np.array(rhs))) < 1e-8
+    u_l, v_l = bm.eval_mode(mode, -a)
+    u_r, v_r = bm.eval_mode(mode, a)
+    assert u_l == v_l and u_l > 0.0
+    assert abs(u_r + v_r) < 1e-15
 
 
 def test_energy_does_not_depend_on_lam():
@@ -101,6 +113,26 @@ def test_eval_mode_matches_shooting_sample():
     assert abs(complex(v_cf) - complex(v_sh)) < 1e-9
 
 
+@pytest.mark.parametrize("a, mass", [(1.0, 1.0), (1.13, 0.7)])
+def test_closed_form_massive_modes_match_shooting(a, mass):
+    cfg = bm.BagConfig(a, mass, 0.0)
+    spec = shooting.find_levels(cfg, (-6.1, 6.1))
+    assert len(spec.modes) >= 6
+    xs = np.linspace(-a, a, 201)
+    for mode in spec.modes:
+        cf = bm.closed_form_mode(mode.index, 0.0, a, mass)
+        assert abs(cf.energy - mode.energy) < 1e-12
+        u_cf, v_cf = bm.eval_mode(cf, xs)
+        u_sh, v_sh = mode.spinor(xs)
+        assert np.max(np.abs(u_cf - u_sh)) < 1e-10
+        assert np.max(np.abs(v_cf - v_sh)) < 1e-10
+
+
+def test_closed_form_massive_mode_needs_zero_coupling():
+    with pytest.raises(ValueError):
+        bm.closed_form_mode(0, 0.5, 1.0, 1.0)
+
+
 def test_overlap_orthonormality():
     a = 1.0
     modes = {n: bm.closed_form_mode(n, 0.0, a).as_mode(n) for n in (-2, -1, 0, 1, 3)}
@@ -130,6 +162,9 @@ def test_config_validation():
         bm.BagConfig(a=-1.0)
     with pytest.raises(ValueError):
         bm.BagConfig(a=1.0, mass=-0.5)
+    for bad in ({"a": math.inf}, {"mass": math.nan}, {"lam": math.nan}, {"lam": -math.inf}):
+        with pytest.raises(ValueError):
+            bm.BagConfig(**bad)
 
 
 def test_norm_check_small():

@@ -51,6 +51,19 @@ def test_usage_error_exit_code_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["shift", "--lambda", "nan"],
+    ["compare", "--mass", "nan"],
+    ["spectrum", "--a", "inf", "--levels", "2"],
+    ["spectrum", "--window", "0:nan"],
+    ["shift", "--mass", "1", "--lambda", "inf"],
+])
+def test_non_finite_input_rejected_before_compute(argv, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "render", lambda args: pytest.fail("computation started"))
+    code, out = _run(argv, capsys)
+    assert code == 2 and out == ""
+
+
 def test_byte_identical_reruns(capsys):
     argv = ["compare", "--a", "1", "--mass", "0", "--lambda", "1", "--cutoff", "64"]
     _, out1 = _run(argv, capsys)
@@ -128,11 +141,24 @@ def test_numeric_failure_exit_code_1(capsys):
     assert "NumericsError" in doc["diagnostics"]["error"]
 
 
+def test_refinement_cap_reports_numeric_failure(capsys, monkeypatch):
+    # A bracket still wider than tol when the iteration cap is reached is
+    # a numeric failure with a diagnostic payload, not a silent midpoint.
+    from diracbag import shooting
+    monkeypatch.setattr(shooting, "_MAX_REFINE_ITERS", 3)
+    code, out = _run(["spectrum", "--mass", "1", "--lambda", "1", "--levels", "1"], capsys)
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["results"] is None
+    assert "did not converge in 3 iterations" in doc["diagnostics"]["error"]
+
+
 def test_compare_zero_coupling(capsys):
     code, out = _run(["compare", "--a", "1", "--mass", "0", "--lambda", "0",
                       "--cutoff", "32"], capsys)
     assert code == 0
     res = json.loads(out)["results"]
+    assert ":-0" not in out   # no signed zeros in the payload
     assert res["w_exact"] == 0.0
     assert res["w_second_pauli"] == 0.0
     assert res["w_second_feynman"] == 0.0

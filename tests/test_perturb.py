@@ -136,8 +136,26 @@ def test_massless_ground_row_closed_form_against_quadrature(a):
         assert abs(elements[c + k] - quad.real) < 1e-15 * a
         if k % 2 == 0:
             assert elements[c + k] == 0.0
+            assert math.copysign(1.0, elements[c + k]) == 1.0
     sums = pt.second_order(cfg, 0, pt.FEYNMAN, 2000).partial_sums["feynman"]
     assert np.all(sums == 0.0)
+
+
+@pytest.mark.parametrize("a, mass", [(1.0, 1.0), (1.13, 0.7)])
+def test_massive_ground_row_closed_form_against_shooting(a, mass):
+    # The shooting solver stays the reference for the closed-form basis.
+    cfg = bm.BagConfig(a, mass, 0.3)
+    c = 20
+    energies, elements = pt._ground_row(cfg, c)
+    base = cfg.without_potential()
+    bound = math.hypot(mass, (2 * c + 2) * math.pi / (4 * a))  # between levels c, c+1
+    modes = {m.index: m for window in ((0.0, bound), (-bound, 0.0))
+             for m in sh.find_levels(base, window).modes}
+    assert set(modes) == set(range(-c - 1, c + 1))
+    for k in range(-c, c + 1):
+        assert abs(energies[c + k] - modes[k].energy) < 1e-12
+        quad = pt.x_matrix_element(modes[0], modes[k])
+        assert abs(elements[c + k] - quad.real) < 1e-13
 
 
 def test_second_order_first_order_slot():
@@ -184,10 +202,15 @@ def test_pauli_sum_strictly_negative_and_frozen():
 
 
 def test_zero_coupling_shift_is_exactly_zero():
-    cfg = bm.BagConfig(1.0, 0.0, 0.0)
-    for prescription in (pt.PAULI, pt.FEYNMAN):
-        rep = pt.second_order(cfg, 0, prescription, 50)
-        assert rep.w_second[prescription.value] == 0.0
+    # +0.0, not the -0.0 of 0.0 over a negative gap, in sums and traces.
+    for mass in (0.0, 1.0):
+        cfg = bm.BagConfig(1.0, mass, 0.0)
+        for prescription in (pt.PAULI, pt.FEYNMAN):
+            rep = pt.second_order(cfg, 0, prescription, 50)
+            w = rep.w_second[prescription.value]
+            assert w == 0.0 and math.copysign(1.0, w) == 1.0
+        for trace in pt.convergence_traces(cfg, 16):
+            assert not np.any(np.signbit(trace["partial_sums"]))
 
 
 def test_lam_squared_scaling_exact():
