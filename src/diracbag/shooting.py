@@ -11,7 +11,8 @@ Eigenvalues are the roots of M.  They are located by sign-change
 bracketing on a grid of spacing <= pi/(8a) (finer than half the
 asymptotic level spacing pi/(2a)) and polished by bisection with secant
 acceleration to |d eps| < tol (default 1e-12); a bracket still wider than
-tol after 200 iterations raises NumericsError.
+tol once it can no longer shrink, or after 200 iterations, raises
+NumericsError.
 
 Sign conventions of the first-order system (reduces to the massless
 equations at mass = 0; the mass couples off-diagonally so that the
@@ -81,20 +82,15 @@ def _steps_for(cfg: BagConfig, eps_scale: float, tol: float = 1.0e-13) -> int:
     return backend.suggested_steps(cfg.a, cfg.mass, cfg.lam, eps_scale, tol)
 
 
-def _mismatch_batch(eps, cfg: BagConfig, n_steps: int, direction: int = +1):
-    """M(eps) for an array of energies; direction=-1 integrates a -> -a."""
+def _mismatch_batch(eps, cfg: BagConfig, n_steps: int):
+    """M(eps) for an array of energies."""
     eps = np.atleast_1d(np.asarray(eps, dtype=float))
     # Deep sub-threshold energies grow like exp(2*kappa*a) and can overflow;
     # that is reported as NumericsError below, not as a warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        if direction >= 0:
-            u, v = backend.propagate_batch(eps, cfg.mass, cfg.lam, -cfg.a, cfg.a,
-                                           _INV_SQRT2, _INV_SQRT2, n_steps)
-            num = u + v
-        else:
-            u, v = backend.propagate_batch(eps, cfg.mass, cfg.lam, cfg.a, -cfg.a,
-                                           _INV_SQRT2, -_INV_SQRT2, n_steps)
-            num = u - v
+        u, v = backend.propagate_batch(eps, cfg.mass, cfg.lam, -cfg.a, cfg.a,
+                                       _INV_SQRT2, _INV_SQRT2, n_steps)
+        num = u + v
         norm = np.hypot(u, v)
     if not np.all(np.isfinite(norm)) or np.any(norm == 0.0):
         raise NumericsError(
@@ -128,18 +124,24 @@ def shoot(eps: float, cfg: BagConfig, tol: float = 1.0e-12,
 def _refine_roots(lo, hi, f_lo, f_hi, cfg, n_steps, tol):
     """Vectorised safeguarded bisection with secant acceleration.
 
-    Raises NumericsError when some bracket is still wider than tol after
-    _MAX_REFINE_ITERS iterations.
+    Raises NumericsError when every bracket still wider than tol has
+    stalled (no double lies strictly inside it), or when some bracket is
+    still wider than tol after _MAX_REFINE_ITERS iterations.
     """
     lo = lo.copy(); hi = hi.copy()
     f_lo = f_lo.copy(); f_hi = f_hi.copy()
     x_prev, f_prev = lo.copy(), f_lo.copy()
     x_cur, f_cur = hi.copy(), f_hi.copy()
-    for _ in range(_MAX_REFINE_ITERS):
+    for it in range(_MAX_REFINE_ITERS):
         width = hi - lo
         if np.all(width <= tol):
             break
         mid = 0.5 * (lo + hi)
+        if np.all((width <= tol) | (mid == lo) | (mid == hi)):
+            raise NumericsError(
+                f"root refinement stalled after {it} iterations: bracket width "
+                f"{float(np.max(width)):.3g} cannot shrink to tol {tol:.3g} "
+                f"(a={cfg.a}, mass={cfg.mass}, lam={cfg.lam})")
         with np.errstate(divide="ignore", invalid="ignore"):
             sec = x_cur - f_cur * (x_cur - x_prev) / (f_cur - f_prev)
         ok = np.isfinite(sec) & (sec > lo + 0.01 * width) & (sec < hi - 0.01 * width)
@@ -174,7 +176,6 @@ def _count_roots_on_grid(cfg, lo, hi, spacing, n_steps) -> int:
 def _make_spinor(cfg, eps, xs, us, vs, scale):
     """Evaluator that re-propagates one exact-size step from the stored trace."""
     mass, lam, a = cfg.mass, cfg.lam, cfg.a
-    from ._magnus import step_components, _expm_apply
 
     def spinor(x):
         x = np.asarray(x, dtype=float)
@@ -183,9 +184,9 @@ def _make_spinor(cfg, eps, xs, us, vs, scale):
         idx = np.clip(np.searchsorted(xs, x, side="right") - 1, 0, len(xs) - 2)
         x0 = xs[idx]
         h = x - x0
-        om_j, om_1, om_3 = step_components(x0, h, eps, mass, lam)
-        u, v = _expm_apply(om_j, om_1, om_3, us[idx], vs[idx])
-        return u * scale, v * scale
+        m_uu, m_uv, m_vu, m_vv = backend.step_matrices(x0, h, eps, mass, lam)
+        u0, v0 = us[idx], vs[idx]
+        return (m_uu * u0 + m_uv * v0) * scale, (m_vu * u0 + m_vv * v0) * scale
 
     return spinor
 
@@ -211,8 +212,7 @@ def _build_mode(cfg: BagConfig, eps: float, index: int) -> Mode:
                 norm_check=residual, config=cfg)
 
 
-def find_levels(cfg: BagConfig, window, tol: float = 1.0e-12,
-                direction: int = +1) -> Spectrum:
+def find_levels(cfg: BagConfig, window, tol: float = 1.0e-12) -> Spectrum:
     """All eigenvalues in (e_min, e_max), refined and packaged as Modes.
 
     For mass = 0 the found count is checked against the analytic
@@ -227,7 +227,7 @@ def find_levels(cfg: BagConfig, window, tol: float = 1.0e-12,
     n_steps = _steps_for(cfg, eps_scale)
     n_grid = max(2, int(math.ceil((e_max - e_min) / spacing)) + 1)
     grid = np.linspace(e_min, e_max, n_grid)
-    f = _mismatch_batch(grid, cfg, n_steps, direction)
+    f = _mismatch_batch(grid, cfg, n_steps)
     # A grid point can land exactly on a root; it is then a root itself and
     # its zero sign excludes the neighbouring cells from bracketing.
     exact = grid[f == 0.0]

@@ -85,21 +85,16 @@ def test_float_round_trip_17_digits(capsys):
 
 
 def test_golden_spectrum_bytes(capsys):
-    from diracbag import backend
     _, out = _run(["spectrum", "--a", "1", "--mass", "0", "--lambda", "0",
                    "--window", "0:3"], capsys)
     golden = json.loads(GOLDEN.read_text())
-    # The backend tag is environment-dependent; everything else is pinned.
-    golden["diagnostics"]["backend"] = backend.backend_name()
     assert out == cli.dumps(golden) + "\n"
 
 
 def test_golden_compare_bytes_and_withheld_verdicts(capsys):
-    from diracbag import backend
     _, out = _run(["compare", "--a", "1", "--mass", "0", "--lambda", "1",
                    "--cutoff", "64"], capsys)
     golden = json.loads((GOLDEN.parent / "golden_compare.json").read_text())
-    golden["diagnostics"]["backend"] = backend.backend_name()
     assert out == cli.dumps(golden) + "\n"
     doc = json.loads(out)
     # cutoff 64 leaves the Pauli sum unconverged: verdicts are withheld
@@ -151,6 +146,29 @@ def test_refinement_cap_reports_numeric_failure(capsys, monkeypatch):
     doc = json.loads(out)
     assert doc["results"] is None
     assert "did not converge in 3 iterations" in doc["diagnostics"]["error"]
+
+
+def test_stalled_refinement_stops_early(capsys, monkeypatch):
+    # No double lies inside a one-ulp bracket, so a tol below the ulp is
+    # reported as soon as every open bracket stalls, not after the cap.
+    from diracbag import backend
+    calls = []
+    propagate = backend.propagate_batch
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return propagate(*args, **kwargs)
+
+    monkeypatch.setattr(backend, "propagate_batch", counted)
+    code, out = _run(["spectrum", "--mass", "1", "--lambda", "1", "--levels", "1",
+                      "--tol", "1e-300"], capsys)
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["results"] is None
+    assert "root refinement stalled after" in doc["diagnostics"]["error"]
+    assert "cannot shrink to tol 1e-300" in doc["diagnostics"]["error"]
+    # Bisection alone needs about 50 halvings from the grid cell to one ulp.
+    assert 0 < len(calls) <= 60
 
 
 def test_compare_zero_coupling(capsys):

@@ -1,15 +1,14 @@
-"""Propagator correctness: exact special cases, order, backend parity."""
+"""Propagator correctness: exact special cases, expm reference, order."""
 
 import numpy as np
-import pytest
 import scipy.linalg as sla
 
-from diracbag import _magnus
+from diracbag import backend
 
 
 def _propagate(eps, mass, lam, n_steps, state=(1.0, 1.0)):
-    return np.array(_magnus.propagate(eps, mass, lam, -1.0, 1.0,
-                                      state[0], state[1], n_steps))
+    return np.array(backend.propagate_batch(eps, mass, lam, -1.0, 1.0,
+                                            state[0], state[1], n_steps))
 
 
 def test_massless_single_step_is_exact_rotation():
@@ -44,40 +43,20 @@ def test_sixth_order_convergence():
 
 def test_suggested_steps_reach_tolerance():
     for (mass, lam, eps) in [(1.0, 0.01, 1.5), (1.0, 1.0, 8.0), (2.0, 3.0, 5.0)]:
-        n = _magnus.suggested_steps(1.0, mass, lam, eps, tol=1e-13)
+        n = backend.suggested_steps(1.0, mass, lam, eps, tol=1e-13)
         got = _propagate(eps, mass, lam, n)
         ref = _propagate(eps, mass, lam, 4 * n)
         assert np.max(np.abs(got - ref)) < 1e-13
 
 
 def test_special_cases_use_one_step():
-    assert _magnus.suggested_steps(1.0, 0.0, 7.0, 30.0) == 1
-    assert _magnus.suggested_steps(1.0, 2.0, 0.0, 30.0) == 1
+    assert backend.suggested_steps(1.0, 0.0, 7.0, 30.0) == 1
+    assert backend.suggested_steps(1.0, 2.0, 0.0, 30.0) == 1
 
 
 def test_trace_endpoints_match_plain_propagation():
-    xs, us, vs = _magnus.propagate_trace(2.3, 1.0, 0.7, -1.0, 1.0, 1.0, 1.0, 97)
-    u, v = _magnus.propagate(2.3, 1.0, 0.7, -1.0, 1.0, 1.0, 1.0, 97)
+    xs, us, vs = backend.propagate_trace(2.3, 1.0, 0.7, -1.0, 1.0, 1.0, 1.0, 97)
+    u, v = backend.propagate_batch(2.3, 1.0, 0.7, -1.0, 1.0, 1.0, 1.0, 97)
     assert xs[0] == -1.0 and xs[-1] == 1.0
     assert us[0] == 1.0 and vs[0] == 1.0
     assert abs(us[-1] - u) == 0.0 and abs(vs[-1] - v) == 0.0
-
-
-def test_compiled_backend_parity():
-    kernel = pytest.importorskip("diracbag._kernel")
-    eps = np.linspace(-9.0, 9.0, 97)
-    for (mass, lam, n_steps) in [(0.0, 0.0, 1), (0.0, 4.0, 3), (1.0, 1.0, 311), (2.0, 0.5, 64)]:
-        u_py, v_py = _magnus.propagate(eps, mass, lam, -1.0, 1.0, 0.8, -0.6, n_steps)
-        u_c = np.empty_like(eps)
-        v_c = np.empty_like(eps)
-        kernel.propagate_batch(eps, mass, lam, -1.0, 1.0, 0.8, -0.6, n_steps, u_c, v_c)
-        scale = max(1.0, np.max(np.hypot(u_py, v_py)))
-        assert np.max(np.abs(u_c - u_py)) < 2e-13 * scale
-        assert np.max(np.abs(v_c - v_py)) < 2e-13 * scale
-        us = np.empty(n_steps + 1)
-        vs = np.empty(n_steps + 1)
-        kernel.propagate_trace(float(eps[5]), mass, lam, -1.0, 1.0, 0.8, -0.6, n_steps, us, vs)
-        _, us_py, vs_py = _magnus.propagate_trace(float(eps[5]), mass, lam, -1.0, 1.0,
-                                                  0.8, -0.6, n_steps)
-        assert np.max(np.abs(us - us_py)) < 1e-13
-        assert np.max(np.abs(vs - vs_py)) < 1e-13

@@ -114,11 +114,16 @@ def test_window_validation():
 
 
 def test_reversal_symmetry():
+    # Each root of the left-to-right mismatch also solves the right-to-left
+    # problem: the backward mismatch vanishes there and changes sign across it.
     cfg = bm.BagConfig(1.0, 1.0, 1.0)
-    fwd = sh.find_levels(cfg, (-5.0, 5.0))
-    bwd = sh.find_levels(cfg, (-5.0, 5.0), direction=-1)
-    assert len(fwd.modes) == len(bwd.modes)
-    assert np.max(np.abs(fwd.energies - bwd.energies)) < 1e-9
+    spec = sh.find_levels(cfg, (-5.0, 5.0))
+    assert [m.index for m in spec.modes] == [-3, -2, -1, 0, 1, 2]
+    for e in spec.energies:
+        assert abs(sh.shoot(e, cfg, direction=-1).mismatch) < 1e-9
+        below = sh.shoot(e - 1e-6, cfg, direction=-1).mismatch
+        above = sh.shoot(e + 1e-6, cfg, direction=-1).mismatch
+        assert below * above < 0.0
 
 
 def test_massive_zero_potential_levels_closed_form():
@@ -230,7 +235,7 @@ def test_tracking_guard_rejects_sign_count_mismatch():
 def test_missing_roots_raise_consistency_error(monkeypatch):
     # If bracketing ever loses a massless root, the analytic count check
     # must catch it rather than return a silently short spectrum.
-    def blind(eps, cfg, n_steps, direction=+1):
+    def blind(eps, cfg, n_steps):
         return np.ones_like(np.atleast_1d(np.asarray(eps, dtype=float)))
 
     monkeypatch.setattr(sh, "_mismatch_batch", blind)
