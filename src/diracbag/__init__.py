@@ -4,7 +4,7 @@ Subpackages:
 
 * ``bagmodel``  - model parameters, closed-form modes (massless, and
   lam = 0 at any mass), quadrature
-* ``shooting``  - general eigensolver (initial-value integration + root finding)
+* ``shooting``  - general eigensolver (levels solved by their Pruefer index)
 * ``oracle``    - independent finite-difference eigensolver for validation
 * ``perturb``   - first/second-order energy shifts under two occupancy
   prescriptions, compared with the exact shift

@@ -38,6 +38,7 @@ matrices of many steps and lanes in one vectorised call; the propagators
 build them a chunk of at most ``_CHUNK`` lane-steps at a time (memory
 stays O(chunk), not O(steps x lanes)) and apply them one step after the
 other, so every result is the same to the last bit as a plain step loop.
+``propagate_batch`` also returns the Pruefer angle and the norm integral.
 """
 
 from __future__ import annotations
@@ -110,17 +111,35 @@ def _step_chunks(eps, mass, lam, x0, x1, n_steps):
 
 
 def propagate_batch(eps, mass, lam, x0, x1, u0, v0, n_steps):
-    """Final (u, v) after n_steps uniform steps, vectorised over eps.
+    """State after n_steps uniform steps, vectorised over eps.
 
     ``eps`` and the initial state may carry lane axes; scalars broadcast.
+    Returns (u, v, theta, norm) at x1: theta = atan2(v, u) continued from
+    x0, exact while no step turns the state by pi/2 (``suggested_steps``
+    keeps turns below 1 rad when mass > 0 and lam != 0), and norm, the
+    trapezoid integral of u^2 + v^2.  A lane's bits depend on no other lane.
     """
     eps = np.asarray(eps, dtype=float)
     u = np.broadcast_to(np.asarray(u0, dtype=float), eps.shape).copy()
     v = np.broadcast_to(np.asarray(v0, dtype=float), eps.shape).copy()
+    r0 = total = u * u + v * v
+    turns = 0
     for a, b, c, d in _step_chunks(eps, mass, lam, x0, x1, n_steps):
+        us, vs = np.empty((2, len(a) + 1) + eps.shape)
+        us[0], vs[0] = u, v
         for i in range(len(a)):
             u, v = a[i] * u + b[i] * v, c[i] * u + d[i] * v
-    return u, v
+            us[i + 1], vs[i + 1] = u, v
+        # v changing sign while u < 0 crosses the branch cut of atan2
+        # (signbit counts -0.0 as below the axis).
+        below = np.signbit(vs).astype(int)
+        turns = turns + np.sum(np.diff(below, axis=0) * (us[1:] < 0.0), axis=0)
+        # Summed step after step, so the bits do not depend on the chunking.
+        sq = us * us + vs * vs
+        sq[0] = total
+        total = np.add.accumulate(sq, axis=0)[-1]
+    norm = (x1 - x0) / n_steps * (total - 0.5 * (r0 + (u * u + v * v)))
+    return u, v, np.arctan2(v, u) + (2.0 * np.pi) * turns, norm
 
 
 def propagate_trace(eps, mass, lam, x0, x1, u0, v0, n_steps):

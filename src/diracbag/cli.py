@@ -24,10 +24,17 @@ Exit codes: 0 success (including unconverged-but-reported sums),
 from __future__ import annotations
 
 import argparse
-import hashlib
 import io
 import math
 import sys
+
+try:  # CPython's own SHA-256: importing hashlib also loads OpenSSL, about 3.5 MB of RSS
+    from _sha256 import sha256
+except ImportError:
+    try:
+        from _sha2 import sha256  # Python >= 3.12
+    except ImportError:
+        from hashlib import sha256
 
 SCHEMA_VERSION = "1"
 
@@ -80,7 +87,7 @@ def dumps(obj) -> str:
 
 
 def _run_id(inputs: dict) -> str:
-    return hashlib.sha256(dumps(inputs).encode()).hexdigest()[:16]
+    return sha256(dumps(inputs).encode()).hexdigest()[:16]
 
 
 def _parse_window(text: str):
@@ -90,6 +97,15 @@ def _parse_window(text: str):
     except ValueError:
         raise argparse.ArgumentTypeError(f"window must be 'lo:hi', got {text!r}")
     return lo, hi
+
+
+def _glue_window(argv):
+    """Join "--window lo:hi" into one token: argparse takes "-1:1" for an option."""
+    out = list(argv)
+    for i in range(len(out) - 2, -1, -1):
+        if out[i] == "--window":
+            out[i:i + 2] = ["--window=" + out[i + 1]]
+    return out
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -111,9 +127,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", help="eigenvalues in a window")
     common(p)
-    p.add_argument("--window", type=_parse_window, default=None, help="energy window lo:hi")
+    p.add_argument("--window", type=_parse_window, default=None,
+                   help="energy window lo:hi (bounds may be negative: --window -1:1)")
     p.add_argument("--levels", type=int, default=None,
-                   help="alternative to --window: lowest N levels of each sign")
+                   help="instead of --window: lowest N levels of each sign")
 
     p = sub.add_parser("shift", help="exact shift of one level")
     common(p)
@@ -168,8 +185,8 @@ def _validate(args) -> None:
     if not (args.tol > 0.0):
         raise UsageError(f"--tol must be positive, got {args.tol}")
     if args.command == "spectrum":
-        if args.window is None and args.levels is None:
-            raise UsageError("spectrum needs --window or --levels")
+        if (args.window is None) == (args.levels is None):
+            raise UsageError("spectrum needs one of --window and --levels")
         if args.window is not None and args.window[0] >= args.window[1]:
             raise UsageError(f"empty window {args.window}")
         if args.levels is not None and args.levels < 1:
@@ -205,7 +222,6 @@ def run_spectrum(args) -> dict:
         "results": {"levels": rows},
         "diagnostics": {
             "window": list(spec.window),
-            "bracket_grid": spec.bracket_grid,
             "count": len(rows),
             "tol": args.tol,
             "backend": backend.backend_name(),
@@ -331,7 +347,7 @@ def render(args) -> tuple:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_glue_window(sys.argv[1:] if argv is None else argv))
     try:
         _validate(args)
     except UsageError as exc:

@@ -17,8 +17,8 @@ class NumericsError(DiracBagError):
 
 
 class ConsistencyError(DiracBagError):
-    """An internal cross-check failed (e.g. level count vs analytic)."""
+    """An internal cross-check failed (e.g. level counts along a refinement ladder)."""
 
 
 class LevelTrackingError(DiracBagError):
-    """Levels could not be matched unambiguously between two spectra."""
+    """A level crossed zero, so its Pruefer index is not its sign-class label."""

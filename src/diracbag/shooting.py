@@ -1,27 +1,27 @@
-"""Shooting eigensolver for arbitrary (mass, lam).
+"""Shooting eigensolver for arbitrary (mass, lam), labelled by the Pruefer angle.
 
-The boundary-value problem is converted to initial-value integrations:
-start at x = -a from (u, v) = (1, 1)/sqrt(2), which satisfies the left
-condition u(-a) = v(-a) exactly, propagate to x = +a and measure the
-mismatch
+Integrations start at x = -a from (u, v) = (1, 1)/sqrt(2), which meets
+u(-a) = v(-a) exactly.  The system (the mass couples off-diagonally, so the
+massive spectrum is NOT even in lam) and the Pruefer angle theta = atan2(v, u)
 
-    M(eps) = (u(a) + v(a)) / sqrt(u(a)^2 + v(a)^2).
+    du/dx = -mass*u - (lam*x - eps)*v,    dv/dx = +mass*v + (lam*x - eps)*u,
+    theta' = lam*x - eps + mass*sin(2*theta),    theta(-a) = pi/4,
 
-Eigenvalues are the roots of M.  They are located by sign-change
-bracketing on a grid of spacing <= pi/(8a) (finer than half the
-asymptotic level spacing pi/(2a)) and polished by bisection with secant
-acceleration to |d eps| < tol (default 1e-12); a bracket still wider than
-tol once it can no longer shrink, or after 200 iterations, raises
-NumericsError.
-
-Sign conventions of the first-order system (reduces to the massless
-equations at mass = 0; the mass couples off-diagonally so that the
-massive spectrum is NOT even in lam, see rhs):
-
-    du/dx = -mass*u - (lam*x - eps)*v
-    dv/dx = +mass*v + (lam*x - eps)*u
-
-The system is real, so all shooting is done in real 2-vectors.
+turn u(a) = -v(a) into theta(a) = -pi/4 mod pi: level n is the root of
+F_n(eps) = theta(a; eps) + pi/4 + n*pi, which strictly decreases, as
+dtheta(a)/deps = -integral(u^2 + v^2)/r(a)^2 (Pryce, Numerical Solution of
+Sturm-Liouville Problems, 1993; Weidmann, LNM 1258, 1987).  n labels the
+level; it is the sign-class label (n >= 0 upwards from the lowest positive
+level, n <= -1 downwards) while theta(a; 0) lies in (-pi/4, 3pi/4], as at
+lam = 0 for every mass.  Leaving it means a level crossed zero, reported as
+LevelTrackingError.  As |lam*x| <= |lam|*a, level n lies within
+eps_n(0) +- |lam|*a of its closed-form lam = 0 energy, which it is at
+mass = 0 or lam = 0.  Otherwise bracketed Newton steps on F_n shrink that
+bracket to at most tol, one lane per level; a bracket that cannot shrink,
+or is still wider after 200 iterations, raises NumericsError.  The
+step count of a level follows from its bracket alone, rounded up to a
+power of two so that neighbours share a call: its energy does not depend
+on the window or on the other levels solved with it.
 """
 
 from __future__ import annotations
@@ -32,13 +32,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import backend
-from .bagmodel import BagConfig, Mode, mode_phase_budget, panel_quadrature
-from .errors import ConsistencyError, LevelTrackingError, NumericsError
+from .bagmodel import BagConfig, Mode, lam0_basis, mode_phase_budget, panel_quadrature
+from .errors import LevelTrackingError, NumericsError
 
 __all__ = ["ShootResult", "Spectrum", "rhs", "shoot", "find_levels", "exact_shift"]
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _MAX_REFINE_ITERS = 200
+# Largest levels x steps of one propagation a request may need; one
+# propagation of that size takes about a second on a 2-vCPU Xeon.
+_MAX_LANE_STEPS = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -52,11 +55,10 @@ class ShootResult:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Ordered eigenmodes found in a window, with solver metadata."""
+    """Ordered eigenmodes found in a window."""
 
     modes: tuple
     window: tuple
-    bracket_grid: float
 
     @property
     def energies(self) -> np.ndarray:
@@ -78,33 +80,13 @@ def rhs(x, state, eps, cfg: BagConfig):
     return (-cfg.mass * u - q * v, cfg.mass * v + q * u)
 
 
-def _steps_for(cfg: BagConfig, eps_scale: float, tol: float = 1.0e-13) -> int:
-    return backend.suggested_steps(cfg.a, cfg.mass, cfg.lam, eps_scale, tol)
-
-
-def _mismatch_batch(eps, cfg: BagConfig, n_steps: int):
-    """M(eps) for an array of energies."""
-    eps = np.atleast_1d(np.asarray(eps, dtype=float))
-    # Deep sub-threshold energies grow like exp(2*kappa*a) and can overflow;
-    # that is reported as NumericsError below, not as a warning.
-    with np.errstate(over="ignore", invalid="ignore"):
-        u, v = backend.propagate_batch(eps, cfg.mass, cfg.lam, -cfg.a, cfg.a,
-                                       _INV_SQRT2, _INV_SQRT2, n_steps)
-        num = u + v
-        norm = np.hypot(u, v)
-    if not np.all(np.isfinite(norm)) or np.any(norm == 0.0):
-        raise NumericsError(
-            f"propagation produced non-finite state (a={cfg.a}, mass={cfg.mass}, "
-            f"lam={cfg.lam}, eps range [{eps.min()}, {eps.max()}], steps={n_steps})")
-    return num / norm
-
-
 def shoot(eps: float, cfg: BagConfig, tol: float = 1.0e-12,
           direction: int = +1) -> ShootResult:
-    """Integrate once across the box and report the boundary mismatch."""
+    """Integrate once across the box and report the mismatch (u(a) + v(a))/r(a)."""
     if not (tol > 0.0):
         raise ValueError(f"tol must be positive, got {tol}")
-    n_steps = max(_steps_for(cfg, abs(eps), min(tol, 1.0e-13)), 128)
+    n_steps = max(backend.suggested_steps(cfg.a, cfg.mass, cfg.lam, abs(eps),
+                                          min(tol, 1.0e-13)), 128)
     if direction >= 0:
         xs, us, vs = backend.propagate_trace(eps, cfg.mass, cfg.lam, -cfg.a, cfg.a,
                                              _INV_SQRT2, _INV_SQRT2, n_steps)
@@ -121,56 +103,80 @@ def shoot(eps: float, cfg: BagConfig, tol: float = 1.0e-12,
     return ShootResult(mismatch=float(num / norm), samples=(xs, us, vs), steps=n_steps)
 
 
-def _refine_roots(lo, hi, f_lo, f_hi, cfg, n_steps, tol):
-    """Vectorised safeguarded bisection with secant acceleration.
+def _prufer(eps, cfg: BagConfig, n_steps: int):
+    """theta(a; eps) and dtheta(a)/deps = -integral(u^2 + v^2)/r(a)^2."""
+    # Deep sub-threshold energies grow like exp(2*kappa*a) and can overflow;
+    # that is reported as NumericsError below, not as a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        u, v, theta, norm = backend.propagate_batch(
+            eps, cfg.mass, cfg.lam, -cfg.a, cfg.a, _INV_SQRT2, _INV_SQRT2, n_steps)
+        slope = -norm / (u * u + v * v)
+    if not (np.all(np.isfinite(theta)) and np.all(np.isfinite(slope)) and np.all(slope < 0.0)):
+        raise NumericsError(
+            f"propagation produced non-finite state (a={cfg.a}, mass={cfg.mass}, "
+            f"lam={cfg.lam}, eps range [{np.min(eps)}, {np.max(eps)}], steps={n_steps})")
+    return theta, slope
 
-    Raises NumericsError when every bracket still wider than tol has
-    stalled (no double lies strictly inside it), or when some bracket is
-    still wider than tol after _MAX_REFINE_ITERS iterations.
-    """
-    lo = lo.copy(); hi = hi.copy()
-    f_lo = f_lo.copy(); f_hi = f_hi.copy()
-    x_prev, f_prev = lo.copy(), f_lo.copy()
-    x_cur, f_cur = hi.copy(), f_hi.copy()
-    for it in range(_MAX_REFINE_ITERS):
+
+def _level_steps(cfg: BagConfig, eps_scale: float) -> int:
+    return 1 << (backend.suggested_steps(cfg.a, cfg.mass, cfg.lam, eps_scale) - 1).bit_length()
+
+
+def _check_budget(cfg: BagConfig, n_levels: int, eps_scale: float) -> None:
+    """Refuse, before any propagation, more than _MAX_LANE_STEPS lane-steps."""
+    cost = n_levels * (_level_steps(cfg, eps_scale) if n_levels <= _MAX_LANE_STEPS else 1)
+    if cost > _MAX_LANE_STEPS:
+        raise NumericsError(
+            f"request needs about {cost:.3g} lane-steps per propagation ({n_levels:.3g} levels), "
+            f"over the budget of {_MAX_LANE_STEPS:.3g} (a={cfg.a}, mass={cfg.mass}, lam={cfg.lam})")
+
+
+def _solve_levels(cfg: BagConfig, levels, tol: float) -> np.ndarray:
+    """Energies of the levels with the given Pruefer indices (floats, so that
+    any int fits): bracketed Newton steps on F_n, one call per step count."""
+    levels = np.asarray(levels, dtype=float)
+    e0 = lam0_basis(cfg.a, cfg.mass, levels)[0]
+    if cfg.mass == 0.0 or cfg.lam == 0.0:
+        return e0
+    half = abs(cfg.lam) * cfg.a
+    steps = np.array([_level_steps(cfg, abs(e) + half) for e in e0], dtype=int)
+    lo, hi, x = e0 - half, e0 + half, e0.copy()    # F_n(lo) >= 0 >= F_n(hi)
+    f, slope = np.zeros(len(levels)), -np.ones(len(levels))
+    guard = True    # the first propagation carries the eps = 0 lane
+    for it in range(_MAX_REFINE_ITERS + 1):
         width = hi - lo
-        if np.all(width <= tol):
-            break
+        live = width > tol
+        if not np.any(live):
+            return 0.5 * (lo + hi)
+        if it == _MAX_REFINE_ITERS:
+            raise NumericsError(
+                f"root refinement did not converge in {_MAX_REFINE_ITERS} iterations: "
+                f"widest final bracket {float(np.max(width)):.3g} > tol {tol:.3g} "
+                f"(a={cfg.a}, mass={cfg.mass}, lam={cfg.lam})")
         mid = 0.5 * (lo + hi)
-        if np.all((width <= tol) | (mid == lo) | (mid == hi)):
+        if np.all(~live | (mid == lo) | (mid == hi)):
             raise NumericsError(
                 f"root refinement stalled after {it} iterations: bracket width "
                 f"{float(np.max(width)):.3g} cannot shrink to tol {tol:.3g} "
                 f"(a={cfg.a}, mass={cfg.mass}, lam={cfg.lam})")
-        with np.errstate(divide="ignore", invalid="ignore"):
-            sec = x_cur - f_cur * (x_cur - x_prev) / (f_cur - f_prev)
-        ok = np.isfinite(sec) & (sec > lo + 0.01 * width) & (sec < hi - 0.01 * width)
-        cand = np.where(ok, sec, mid)
-        f_cand = _mismatch_batch(cand, cfg, n_steps)
-        same_side = (f_cand * f_lo) > 0.0
-        lo = np.where(same_side, cand, lo)
-        f_lo = np.where(same_side, f_cand, f_lo)
-        hi = np.where(same_side, hi, cand)
-        f_hi = np.where(same_side, f_hi, f_cand)
-        x_prev, f_prev = x_cur, f_cur
-        x_cur, f_cur = cand, f_cand
-    width = hi - lo
-    if not np.all(width <= tol):
-        raise NumericsError(
-            f"root refinement did not converge in {_MAX_REFINE_ITERS} iterations: "
-            f"widest final bracket {float(np.max(width)):.3g} > tol {tol:.3g} "
-            f"(a={cfg.a}, mass={cfg.mass}, lam={cfg.lam})")
-    return 0.5 * (lo + hi)
-
-
-def _count_roots_on_grid(cfg, lo, hi, spacing, n_steps) -> int:
-    """Number of sign changes of M on a fresh grid over (lo, hi)."""
-    if hi <= lo:
-        return 0
-    n = max(2, int(math.ceil((hi - lo) / spacing)) + 1)
-    grid = np.linspace(lo, hi, n)
-    f = _mismatch_batch(grid, cfg, n_steps)
-    return int(np.sum(np.sign(f[1:]) * np.sign(f[:-1]) < 0))
+        for n_steps in np.unique(steps[live]):
+            lanes = live & (steps == n_steps)
+            theta, s = _prufer(np.append(x[lanes], 0.0) if guard else x[lanes], cfg, int(n_steps))
+            if guard:
+                if not -0.25 * math.pi < theta[-1] <= 0.75 * math.pi:
+                    raise LevelTrackingError(
+                        f"a level crossed zero: theta(a; 0) = {theta[-1] / math.pi:.6g}*pi "
+                        f"is outside (-pi/4, 3pi/4] (a={cfg.a}, mass={cfg.mass}, "
+                        f"lam={cfg.lam}), so the Pruefer labels are not the sign-class labels")
+                theta, s, guard = theta[:-1], s[:-1], False
+            f[lanes] = theta + (levels[lanes] + 0.25) * math.pi
+            slope[lanes] = s
+        # A Newton step inside the bracket is kept tol/2 off its ends.
+        lo = np.where(live & (f >= 0.0), x, lo)
+        hi = np.where(live & (f <= 0.0), x, hi)
+        step = x - f / slope
+        inside = (step > lo) & (step < hi)
+        x = np.where(inside, np.clip(step, lo + 0.5 * tol, hi - 0.5 * tol), 0.5 * (lo + hi))
 
 
 def _make_spinor(cfg, eps, xs, us, vs, scale):
@@ -193,7 +199,7 @@ def _make_spinor(cfg, eps, xs, us, vs, scale):
 
 def _build_mode(cfg: BagConfig, eps: float, index: int) -> Mode:
     """Normalise the shooting solution at eps into a Mode."""
-    n_steps = max(_steps_for(cfg, abs(eps)), 64)
+    n_steps = max(backend.suggested_steps(cfg.a, cfg.mass, cfg.lam, abs(eps)), 64)
     xs, us, vs = backend.propagate_trace(eps, cfg.mass, cfg.lam, -cfg.a, cfg.a,
                                          _INV_SQRT2, _INV_SQRT2, n_steps)
     spinor_raw = _make_spinor(cfg, eps, xs, us, vs, 1.0)
@@ -212,126 +218,35 @@ def _build_mode(cfg: BagConfig, eps: float, index: int) -> Mode:
                 norm_check=residual, config=cfg)
 
 
-def find_levels(cfg: BagConfig, window, tol: float = 1.0e-12) -> Spectrum:
-    """All eigenvalues in (e_min, e_max), refined and packaged as Modes.
+def _level_index(cfg: BagConfig, e: float) -> float:
+    """The lam = 0 level index as a continuous function of energy (-1/2 in the gap)."""
+    k = math.sqrt(abs(e) - cfg.mass) * math.sqrt(abs(e) + cfg.mass) if abs(e) > cfg.mass else 0.0
+    j = 2.0 * cfg.a * k / math.pi - 0.5
+    return j if e > 0.0 else -1.0 - j
 
-    For mass = 0 the found count is checked against the analytic
-    prediction; a mismatch raises ConsistencyError (the bracket grid is
-    fine enough that this indicates an internal bug, not a tuning issue).
-    """
+
+def find_levels(cfg: BagConfig, window, tol: float = 1.0e-12) -> Spectrum:
+    """All eigenvalues in (e_min, e_max), refined and packaged as Modes: the
+    levels whose brackets meet the window are solved, those inside it kept."""
     e_min, e_max = float(window[0]), float(window[1])
     if not (e_min < e_max):
         raise ValueError(f"need e_min < e_max, got {window}")
-    spacing = math.pi / (8.0 * cfg.a)
-    eps_scale = max(abs(e_min), abs(e_max))
-    n_steps = _steps_for(cfg, eps_scale)
-    n_grid = max(2, int(math.ceil((e_max - e_min) / spacing)) + 1)
-    grid = np.linspace(e_min, e_max, n_grid)
-    f = _mismatch_batch(grid, cfg, n_steps)
-    # A grid point can land exactly on a root; it is then a root itself and
-    # its zero sign excludes the neighbouring cells from bracketing.
-    exact = grid[f == 0.0]
-    change = np.sign(f[1:]) * np.sign(f[:-1]) < 0
-    i = np.nonzero(change)[0]
-    if len(i) == 0:
-        roots = exact
-    else:
-        roots = _refine_roots(grid[i], grid[i + 1], f[i], f[i + 1], cfg, n_steps, tol)
-        roots = np.concatenate([roots, exact])
-    roots = np.sort(roots)
-    if cfg.mass == 0.0:
-        lo_n = int(math.ceil((4.0 * cfg.a * e_min / math.pi - 1.0) / 2.0))
-        hi_n = int(math.floor((4.0 * cfg.a * e_max / math.pi - 1.0) / 2.0))
-        expected = max(0, hi_n - lo_n + 1)
-        if len(roots) != expected:
-            raise ConsistencyError(
-                f"massless level count {len(roots)} != analytic {expected} "
-                f"in window ({e_min}, {e_max}); bracket grid {spacing}. "
-                "A window endpoint sitting exactly on a level can cause this; "
-                "shift the window slightly.")
-    if len(roots) > 1 and np.min(np.diff(roots)) < 1.0e-9:
-        raise ConsistencyError(
-            f"near-degenerate roots found in window ({e_min}, {e_max}); "
-            "the bag spectrum is nondegenerate, so this is a solver failure")
-    indices = _assign_indices(cfg, roots, (e_min, e_max), spacing, n_steps)
-    modes = tuple(_build_mode(cfg, e, ix) for e, ix in zip(roots, indices))
-    return Spectrum(modes=modes, window=(e_min, e_max), bracket_grid=spacing)
-
-
-def _assign_indices(cfg, roots, window, spacing, n_steps):
-    """Global level labels: n >= 0 ascending positives, n < 0 from -1 down.
-
-    When the window does not reach zero, the labels of skipped levels are
-    recovered by counting sign changes of M between zero and the window.
-    """
-    if cfg.mass == 0.0:
-        return [int(round((4.0 * cfg.a * e / math.pi - 1.0) / 2.0)) for e in roots]
-    e_min, e_max = window
-    pos_offset = _count_roots_on_grid(cfg, 0.0, e_min, spacing, n_steps) if e_min > 0.0 else 0
-    neg_offset = _count_roots_on_grid(cfg, e_max, 0.0, spacing, n_steps) if e_max < 0.0 else 0
-    index_of = {}
-    for rank, e in enumerate(sorted(e for e in roots if e > 0.0)):
-        index_of[e] = pos_offset + rank
-    for rank, e in enumerate(sorted((e for e in roots if e < 0.0), reverse=True)):
-        index_of[e] = -(neg_offset + rank) - 1
-    return [index_of[e] for e in roots]
-
-
-def _window_for_level(cfg: BagConfig, level: int):
-    """Energy window guaranteed (after widening) to contain the level.
-
-    The margin pi/(3a) is deliberately incommensurate with the massless
-    level spacing pi/(2a), so window endpoints never coincide with roots.
-    """
-    k = (2 * abs(level) + 3) * math.pi / (4.0 * cfg.a)
-    e_hi = math.hypot(cfg.mass, k) + math.pi / (3.0 * cfg.a) + 0.5 * abs(cfg.lam) * cfg.a
-    if level >= 0:
-        return (0.0, e_hi)
-    return (-e_hi, 0.0)
+    half = abs(cfg.lam) * cfg.a
+    n_lo = math.floor(_level_index(cfg, e_min - half))
+    n_hi = math.ceil(_level_index(cfg, e_max + half))
+    _check_budget(cfg, n_hi - n_lo + 1, max(-e_min, e_max) + 2.0 * half)
+    n = np.arange(n_lo, n_hi + 1)
+    e0 = lam0_basis(cfg.a, cfg.mass, n)[0]
+    levels = n[(e0 - half < e_max) & (e0 + half > e_min)]
+    energies = _solve_levels(cfg, levels, tol)
+    keep = (energies > e_min) & (energies < e_max)
+    modes = tuple(_build_mode(cfg, float(e), int(ix))
+                  for e, ix in zip(energies[keep], levels[keep]))
+    return Spectrum(modes=modes, window=(e_min, e_max))
 
 
 def exact_shift(cfg: BagConfig, level: int, tol: float = 1.0e-13) -> float:
-    """Exact energy shift eps_level(lam) - eps_level(0) by level tracking."""
-    base = cfg.without_potential()
-    window = _window_for_level(cfg, level)
-    for attempt in range(4):
-        try:
-            spec_lam = find_levels(cfg, window, tol=tol)
-            spec_base = find_levels(base, window, tol=tol)
-            mode_lam = spec_lam.mode(level)
-            mode_base = spec_base.mode(level)
-        except (KeyError, ConsistencyError):
-            if attempt == 3:
-                raise LevelTrackingError(
-                    f"level {level} not resolved in windows up to {window} for {cfg}")
-            # Widen with an incommensurate offset so a window edge that
-            # collided with a root cannot collide again.
-            grow = 1.4
-            pad = 0.37 * (attempt + 1) / cfg.a
-            lo = window[0] * grow - (pad if window[0] < 0.0 else 0.0)
-            hi = window[1] * grow + (pad if window[1] > 0.0 else 0.0)
-            window = (lo, hi)
-            continue
-        _check_tracking(spec_lam, spec_base)
-        return mode_lam.energy - mode_base.energy
-    raise LevelTrackingError(
-        f"level {level} not found in windows up to {window} for {cfg}")
-
-
-def _check_tracking(spec_lam: Spectrum, spec_base: Spectrum) -> None:
-    """Spacing-based guard against level crossings during tracking."""
-    e_lam = spec_lam.energies
-    e_base = spec_base.energies
-    for energies in (e_lam, e_base):
-        if len(energies) > 1:
-            gaps = np.diff(np.sort(energies))
-            if np.min(gaps) < 1.0e-6 * np.median(gaps):
-                raise LevelTrackingError(
-                    "near-degenerate spacing detected; level identity across "
-                    "the two spectra is ambiguous")
-    sign_count_lam = (int(np.sum(e_lam > 0)), int(np.sum(e_lam < 0)))
-    sign_count_base = (int(np.sum(e_base > 0)), int(np.sum(e_base < 0)))
-    if sign_count_lam != sign_count_base:
-        raise LevelTrackingError(
-            f"sign-class level counts differ between lam and lam=0 spectra: "
-            f"{sign_count_lam} vs {sign_count_base}")
+    """Exact energy shift eps_level(lam) - eps_level(0) of one level."""
+    e0 = float(lam0_basis(cfg.a, cfg.mass, level)[0])
+    _check_budget(cfg, 1, abs(e0) + abs(cfg.lam) * cfg.a)
+    return float(_solve_levels(cfg, [level], tol)[0]) - e0

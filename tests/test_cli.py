@@ -64,6 +64,43 @@ def test_non_finite_input_rejected_before_compute(argv, capsys, monkeypatch):
     assert code == 2 and out == ""
 
 
+def test_negative_window_as_separate_argument(capsys):
+    argv = ["spectrum", "--mass", "1", "--lambda", "0.5"]
+    code, out = _run(argv + ["--window", "-3:3"], capsys)
+    assert code == 0
+    _, glued = _run(argv + ["--window=-3:3"], capsys)
+    assert out == glued
+    doc = json.loads(out)
+    assert doc["inputs"]["window"] == [-3, 3]
+    assert [row["index"] for row in doc["results"]["levels"]] == [-2, -1, 0, 1]
+
+
+def test_window_and_levels_together_rejected(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "render", lambda args: pytest.fail("computation started"))
+    code, out = _run(["spectrum", "--window", "0:3", "--levels", "2"], capsys)
+    assert code == 2 and out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--window=-1e4:1e4", "--mass", "1", "--lambda", "1"],
+    ["shift", "--mass", "1", "--lambda", "1", "--levels", "100000000"],
+])
+def test_cost_budget_refused_before_propagation(argv, capsys, monkeypatch):
+    from diracbag import backend
+
+    def refuse(*args, **kwargs):
+        pytest.fail("propagation started")
+
+    monkeypatch.setattr(backend, "propagate_batch", refuse)
+    monkeypatch.setattr(backend, "propagate_trace", refuse)
+    code, out = _run(argv, capsys)
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["results"] is None
+    assert doc["diagnostics"]["error"].startswith("NumericsError: request needs about")
+    assert "over the budget of 1e+07" in doc["diagnostics"]["error"]
+
+
 def test_byte_identical_reruns(capsys):
     argv = ["compare", "--a", "1", "--mass", "0", "--lambda", "1", "--cutoff", "64"]
     _, out1 = _run(argv, capsys)

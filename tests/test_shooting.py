@@ -1,13 +1,16 @@
-"""Shooting solver: mismatch roots, spectra, level tracking, mode quality."""
+"""Shooting solver: Pruefer-angle levels, labels, spectra, mode quality."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+from diracbag import backend
 from diracbag import bagmodel as bm
+from diracbag import oracle
 from diracbag import shooting as sh
-from diracbag.errors import ConsistencyError
+from diracbag.errors import LevelTrackingError
 
 
 PI = math.pi
@@ -151,8 +154,22 @@ def test_global_indices_with_offset_window():
     full = sh.find_levels(cfg, (0.0, 6.0))
     sub = {m.index: m.energy for m in spec.modes}
     ref = {m.index: m.energy for m in full.modes}
-    for idx, e in sub.items():
-        assert abs(ref[idx] - e) < 1e-10
+    assert sub and all(ref[idx] == e for idx, e in sub.items())
+
+
+def test_levels_do_not_depend_on_the_window():
+    # Each level is solved on its own bracket with its own step count, so
+    # its bits do not depend on the window or on the other levels solved.
+    cfg = bm.BagConfig(1.0, 1.0, 0.7)
+    specs = [{m.index: m.energy for m in sh.find_levels(cfg, w).modes}
+             for w in [(0.0, 6.0), (2.0, 6.0), (-6.0, 6.0)]]
+    assert list(specs[2]) == [-4, -3, -2, -1, 0, 1, 2, 3]
+    assert list(specs[0]) == [0, 1, 2, 3] and list(specs[1]) == [1, 2, 3]
+    for spec in specs[:2]:
+        assert all(specs[2][n] == e for n, e in spec.items())
+    for n, e in specs[2].items():
+        e0 = float(bm.lam0_basis(cfg.a, cfg.mass, n)[0])
+        assert sh.exact_shift(cfg, n, tol=1e-12) + e0 == e
 
 
 def test_mode_quality_invariants():
@@ -202,11 +219,6 @@ def test_exact_shift_massive_small_and_nonzero():
     assert 1e-4 < abs(w) < 1e-2
 
 
-def test_bracket_grid_finer_than_level_spacing():
-    spec = sh.find_levels(bm.BagConfig(2.0, 0.0, 0.0), (0.0, 2.0))
-    assert spec.bracket_grid <= PI / (8 * 2.0) + 1e-15
-
-
 def test_randomised_configs_cross_checked_against_oracle(rng):
     from diracbag import oracle
     for _ in range(3):
@@ -223,21 +235,100 @@ def test_randomised_configs_cross_checked_against_oracle(rng):
             assert mode.norm_check < 1e-10
 
 
-def test_tracking_guard_rejects_sign_count_mismatch():
-    from diracbag.errors import LevelTrackingError
-    cfg = bm.BagConfig(1.0, 1.0, 0.0)
-    spec_a = sh.find_levels(cfg, (-5.0, 5.0))
-    spec_b = sh.find_levels(cfg, (0.2, 5.0))
-    with pytest.raises(LevelTrackingError):
-        sh._check_tracking(spec_a, spec_b)
+@given(a=st.floats(0.6, 1.6), mass=st.floats(0.0, 1.5), lam=st.floats(-1.5, 1.5))
+def test_labels_are_sign_class_ranks_of_oracle_levels(a, mass, lam):
+    # The Pruefer index of each level equals its rank in its sign class
+    # (0, 1, ... upwards from zero, -1, -2, ... downwards), counted on the
+    # independent finite-difference spectrum.  The oracle window edges sit
+    # midway between levels, so no level is near an edge.
+    cfg = bm.BagConfig(a, mass, lam)
+    reach = 5.0 / a + mass + abs(lam) * a
+    modes = sh.find_levels(cfg, (-reach, reach)).modes
+    energies = [m.energy for m in modes]
+    window = (0.5 * (energies[0] + energies[1]), 0.5 * (energies[-2] + energies[-1]))
+    ref = oracle.levels_refined(cfg, window, 2000)["refined"]
+    pos = sorted(e for e in ref if e > 0.0)
+    neg = sorted((e for e in ref if e < 0.0), reverse=True)
+    rank = {e: i for i, e in enumerate(pos)} | {e: -1 - i for i, e in enumerate(neg)}
+    assert len(ref) == len(modes) - 2 >= 4
+    for mode, e in zip(modes[1:-1], ref):
+        assert mode.index == rank[e]
+        assert abs(mode.energy - e) < 1e-6
 
 
-def test_missing_roots_raise_consistency_error(monkeypatch):
-    # If bracketing ever loses a massless root, the analytic count check
-    # must catch it rather than return a silently short spectrum.
-    def blind(eps, cfg, n_steps):
-        return np.ones_like(np.atleast_1d(np.asarray(eps, dtype=float)))
+def test_newton_needs_few_propagations(monkeypatch):
+    # Bisection from the +-|lam|*a brackets to 1e-12 would take about 40
+    # batched propagations; the Newton steps on F_n take far fewer.
+    calls = []
+    real = backend.propagate_batch
+    monkeypatch.setattr(backend, "propagate_batch", lambda *args: calls.append(1) or real(*args))
+    spec = sh.find_levels(bm.BagConfig(1.0, 1.0, 1.0), (-8.0, 8.0))
+    assert len(spec.modes) == 10
+    assert len(calls) <= 20
 
-    monkeypatch.setattr(sh, "_mismatch_batch", blind)
-    with pytest.raises(ConsistencyError):
-        sh.find_levels(bm.BagConfig(1.0, 0.0, 0.0), (0.0, 3.0))
+
+def test_strong_field_levels_match_oracle():
+    # With |lam|*a^2 >> 1 two levels can sit closer than a bracket-grid cell
+    # of pi/(8a), and level 0 moves by more than half its energy; neither
+    # affects the Pruefer index.  (The oracle needs N = 16000 here to
+    # resolve the close pair to 1e-6.)
+    cfg = bm.BagConfig(2.25, 2.65, -3.68)
+    spec = sh.find_levels(cfg, (-3.0, 3.0))
+    ref = oracle.levels_refined(cfg, (-3.0, 3.0), 16000)["refined"]
+    assert [m.index for m in spec.modes] == [-4, -3, -2, -1, 0, 1, 2, 3]
+    assert np.min(np.diff(spec.energies)) < math.pi / (8 * cfg.a)
+    assert np.max(np.abs(spec.energies - ref)) < 1e-6
+    cfg = bm.BagConfig(1.75, 4.0, -2.85)
+    e0 = float(bm.lam0_basis(cfg.a, cfg.mass, 0)[0])
+    ref = oracle.levels_refined(cfg, (0.0, 2.0), 4000)["refined"]
+    w = sh.exact_shift(cfg, 0)
+    assert len(ref) == 1 and abs(e0 + w - ref[0]) < 1e-6 and w < -0.5 * e0
+
+
+@pytest.mark.parametrize("mass", [0.0, 0.5, 3.0, 10.0])
+def test_zero_energy_angle_at_zero_coupling(mass):
+    # theta(a; 0) lies in [pi/4, pi/2) at lam = 0, which makes the Pruefer
+    # labels the sign-class labels of the closed-form spectrum.
+    # (At mass*a = 13 the distance to pi/2 is below one ulp.)
+    theta, _ = sh._prufer(np.array([0.0]), bm.BagConfig(1.3, mass, 0.0), 64)
+    assert math.pi / 4 - 1e-15 <= theta[0] <= math.pi / 2
+
+
+def test_prufer_slope_matches_finite_difference():
+    # dtheta(a)/deps = -integral(u^2 + v^2)/r(a)^2 drives the Newton steps;
+    # the integral is the trapezoid rule on the 512 steps, O(h^2) accurate.
+    cfg = bm.BagConfig(1.1, 1.2, 0.9)
+    eps = np.array([-3.0, -0.4, 0.2, 1.7, 5.5])
+    d = 1e-5
+    _, slope = sh._prufer(eps, cfg, 512)
+    up, _ = sh._prufer(eps + d, cfg, 512)
+    down, _ = sh._prufer(eps - d, cfg, 512)
+    assert np.all(slope < 0.0)
+    assert np.max(np.abs((up - down) / (2 * d) / slope - 1.0)) < 1e-4
+
+
+@pytest.mark.parametrize("theta0, raises", [
+    (0.8 * math.pi, True), (-0.25 * math.pi, True),
+    (0.75 * math.pi, False), (-0.2 * math.pi, False)],
+    ids=["above", "lower_end", "upper_end", "inside"])
+def test_zero_crossing_guard(monkeypatch, theta0, raises):
+    # The eps = 0 lane rides on the first propagation; an angle outside
+    # (-pi/4, 3pi/4] means a level crossed zero and the labels would no
+    # longer be the sign-class labels.
+    real = backend.propagate_batch
+
+    def moved(eps, *args):
+        u, v, theta, norm = real(eps, *args)
+        if np.ndim(eps) and eps[-1] == 0.0:
+            theta = np.append(theta[:-1], theta0)
+        return u, v, theta, norm
+
+    monkeypatch.setattr(backend, "propagate_batch", moved)
+    cfg = bm.BagConfig(1.0, 1.0, 1.0)
+    if raises:
+        with pytest.raises(LevelTrackingError, match="crossed zero"):
+            sh.find_levels(cfg, (-3.0, 3.0))
+        with pytest.raises(LevelTrackingError):
+            sh.exact_shift(cfg, 0)
+    else:
+        assert [m.index for m in sh.find_levels(cfg, (-3.0, 3.0)).modes] == [-2, -1, 0, 1]
