@@ -11,10 +11,6 @@ Subpackages:
 * ``cli``       - deterministic command-line front end (JSON/CSV)
 """
 
-from ._threads import apply_thread_cap as _apply_thread_cap
-
-_apply_thread_cap()
-
 from .bagmodel import BagConfig, ClosedFormMode, Mode, closed_form_mode, eval_mode, massless_levels, overlap
 from .shooting import Spectrum, exact_shift, find_levels, shoot
 from .perturb import PAULI, FEYNMAN, ShiftReport, compare, first_order, second_order, x_matrix_element

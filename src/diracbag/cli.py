@@ -210,14 +210,12 @@ def run_spectrum(args) -> dict:
     cfg = bagmodel.BagConfig(a=args.a, mass=args.mass, lam=args.lam)
     window = args.window if args.window is not None else _auto_window(cfg, args.levels)
     spec = shooting.find_levels(cfg, window, tol=args.tol)
-    rows = []
-    for m in spec.modes:
-        row = {"index": m.index, "energy": m.energy}
-        if cfg.mass == 0.0:
-            analytic = float(bagmodel.massless_levels(cfg.a, m.index, m.index)[0])
-            row["analytic"] = analytic
-            row["deviation"] = m.energy - analytic
-        rows.append(row)
+    rows = [{"index": int(n), "energy": float(e)} for n, e in zip(spec.indices, spec.energies)]
+    if cfg.mass == 0.0 and rows:
+        analytic = bagmodel.massless_levels(cfg.a, rows[0]["index"], rows[-1]["index"])
+        for row, e in zip(rows, analytic.tolist()):
+            row["analytic"] = e
+            row["deviation"] = row["energy"] - e
     return {
         "results": {"levels": rows},
         "diagnostics": {

@@ -155,7 +155,9 @@ def first_order(cfg: BagConfig, level: int) -> float:
 
 
 def _term_arrays(cfg: BagConfig, cutoff: int):
-    """Second-order terms t_k = lam^2 |<0|x|k>|^2 / (eps_0 - eps_k)."""
+    """Second-order terms t_k = lam^2 |<0|x|k>|^2 / (eps_0 - eps_k) for
+    k = 1..cutoff and k = -1..-cutoff, and w_first = lam*<0|x|0>, all
+    from one ground row."""
     energies, elements = _ground_row(cfg, cutoff)
     lam2 = cfg.lam * cfg.lam
     ks = np.arange(1, cutoff + 1)
@@ -174,7 +176,10 @@ def _term_arrays(cfg: BagConfig, cutoff: int):
     # being -0.0, the sign of 0.0 divided by a negative gap.
     t_pos = lam2 * el_pos * el_pos / den_pos + 0.0
     t_neg = lam2 * el_neg * el_neg / den_neg + 0.0
-    return t_pos, t_neg
+    # Adding +0.0 turns the signed zero of lam = 0 (or of lam < 0 at
+    # mass = 0) into +0.0.
+    w_first = float(cfg.lam * elements[cutoff]) + 0.0
+    return t_pos, t_neg, w_first
 
 
 def _partial_sums(t_pos, t_neg, prescription: Prescription, scheme: str):
@@ -200,6 +205,12 @@ def second_order(cfg: BagConfig, level: int, prescription: Prescription,
     raised.  The converged flag also requires the symmetric scheme, which
     is the declared summation order of this artifact.
     """
+    _check_sum_request(level, cutoff, scheme)
+    return _report(cfg, level, Prescription(prescription), cutoff, tol, scheme,
+                   _term_arrays(cfg, cutoff))
+
+
+def _check_sum_request(level: int, cutoff: int, scheme: str) -> None:
     if level != 0:
         raise ValueError("second-order shifts are defined here for level 0 "
                          "(ground state of the one-particle sector)")
@@ -207,18 +218,19 @@ def second_order(cfg: BagConfig, level: int, prescription: Prescription,
         raise ValueError(f"cutoff must be >= 4, got {cutoff}")
     if scheme not in (SYMMETRIC, ASYMMETRIC):
         raise ValueError(f"unknown cutoff scheme {scheme!r}")
-    prescription = Prescription(prescription)
+
+
+def _report(cfg: BagConfig, level: int, prescription: Prescription, cutoff: int,
+            tol: float | None, scheme: str, terms) -> ShiftReport:
+    """The second-order report of one prescription from ``_term_arrays``."""
     if tol is None:
         tol = _default_tol(cfg)
-    t_pos, t_neg = _term_arrays(cfg, cutoff)
+    t_pos, t_neg, w_first = terms
     sums = _partial_sums(t_pos, t_neg, prescription, scheme)
-    # lam * <0|x|0> from the row's k = 0 slot; adding +0.0 turns the signed
-    # zero of lam = 0 (or of lam < 0 at mass = 0) into +0.0.
-    w_first = float(cfg.lam * _ground_row(cfg, cutoff)[1][cutoff]) + 0.0
     residual = abs(float(sums[-1] - sums[cutoff // 2 - 1]))
     converged = bool(residual < tol and scheme == SYMMETRIC)
     name = prescription.value
-    report = ShiftReport(
+    return ShiftReport(
         config=cfg, level=level, cutoff=cutoff, tol=tol, scheme=scheme,
         w_first=w_first,
         w_second={name: float(sums[-1])},
@@ -227,7 +239,6 @@ def second_order(cfg: BagConfig, level: int, prescription: Prescription,
         converged={name: converged},
         w_extrapolated=_tail_extrapolation(name, sums),
     )
-    return report
 
 
 def _tail_extrapolation(name: str, sums: np.ndarray) -> dict:
@@ -251,8 +262,10 @@ def _tail_extrapolation(name: str, sums: np.ndarray) -> dict:
 def compare(cfg: BagConfig, level: int, cutoff: int, tol: float | None = None,
             verdict_tol: float = 1.0e-8) -> ShiftReport:
     """Both prescriptions against the exact shift, with agreement verdicts."""
-    rep_p = second_order(cfg, level, PAULI, cutoff, tol)
-    rep_f = second_order(cfg, level, FEYNMAN, cutoff, tol)
+    _check_sum_request(level, cutoff, SYMMETRIC)
+    terms = _term_arrays(cfg, cutoff)
+    rep_p = _report(cfg, level, PAULI, cutoff, tol, SYMMETRIC, terms)
+    rep_f = _report(cfg, level, FEYNMAN, cutoff, tol, SYMMETRIC, terms)
     w_exact = shooting.exact_shift(cfg, level)
     w_second = {**rep_p.w_second, **rep_f.w_second}
     agreement = {k: abs(w - w_exact) for k, w in w_second.items()}
@@ -279,7 +292,7 @@ def convergence_traces(cfg: BagConfig, cutoff: int, tol: float | None = None):
     """
     if tol is None:
         tol = _default_tol(cfg)
-    t_pos, t_neg = _term_arrays(cfg, cutoff)
+    t_pos, t_neg, _ = _term_arrays(cfg, cutoff)
     out = []
     for prescription in (FEYNMAN, PAULI):
         for scheme in (SYMMETRIC, ASYMMETRIC):

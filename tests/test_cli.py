@@ -84,21 +84,66 @@ def test_window_and_levels_together_rejected(capsys, monkeypatch):
 @pytest.mark.parametrize("argv", [
     ["spectrum", "--window=-1e4:1e4", "--mass", "1", "--lambda", "1"],
     ["shift", "--mass", "1", "--lambda", "1", "--levels", "100000000"],
+    # Massless levels need no propagation; their output rows are charged.
+    ["spectrum", "--mass", "0", "--lambda", "1", "--window=-1e5:1e5"],
+    ["spectrum", "--mass", "0", "--levels", "1000000"],
 ])
 def test_cost_budget_refused_before_propagation(argv, capsys, monkeypatch):
-    from diracbag import backend
+    from diracbag import backend, shooting
 
     def refuse(*args, **kwargs):
         pytest.fail("propagation started")
 
     monkeypatch.setattr(backend, "propagate_batch", refuse)
     monkeypatch.setattr(backend, "propagate_trace", refuse)
+    monkeypatch.setattr(shooting, "_solve_levels", refuse)
     code, out = _run(argv, capsys)
     assert code == 1
     doc = json.loads(out)
     assert doc["results"] is None
     assert doc["diagnostics"]["error"].startswith("NumericsError: request needs about")
     assert "over the budget of 1e+07" in doc["diagnostics"]["error"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--mass", "1", "--lambda", "1", "--levels", "5"],
+    ["spectrum", "--mass", "0", "--lambda", "1", "--window=-300:300"],
+    ["spectrum", "--mass", "0", "--lambda", "1", "--window=-300:300", "--format", "csv"],
+])
+def test_spectrum_builds_no_modes(argv, capsys, monkeypatch):
+    from diracbag import backend, shooting
+    code, expected = _run(argv, capsys)
+    assert code == 0
+
+    def refuse(*args, **kwargs):
+        pytest.fail("a mode was built")
+
+    monkeypatch.setattr(backend, "propagate_trace", refuse)
+    monkeypatch.setattr(shooting, "_build_mode", refuse)
+    assert _run(argv, capsys) == (0, expected)
+
+
+def test_commands_import_no_oracle_scipy_or_openssl():
+    # What a CLI run imports sets its start-up time and its memory.
+    script = (
+        "import contextlib, io, sys\n"
+        "from diracbag import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    for argv in (['spectrum', '--mass', '1', '--lambda', '1', '--levels', '2'],\n"
+        "                 ['shift', '--mass', '1', '--lambda', '0.01'],\n"
+        "                 ['compare', '--mass', '1', '--lambda', '0.1', '--cutoff', '64'],\n"
+        "                 ['convergence', '--lambda', '1', '--cutoff', '16']):\n"
+        "        assert cli.main(argv) == 0, argv\n"
+        "print(' '.join(m for m in ('scipy', 'hashlib', '_hashlib', 'diracbag.oracle',\n"
+        "                           'diracbag._threads') if m in sys.modules))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        cwd=str(Path(__file__).resolve().parents[1]),
+        env={**os.environ, "PYTHONPATH": "src"},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == ""
 
 
 def test_byte_identical_reruns(capsys):

@@ -220,9 +220,25 @@ def test_lam_squared_scaling_exact():
     assert abs(ratio - 0.01) < 1e-6 * 0.01
 
 
+def test_ground_row_built_once(monkeypatch):
+    calls = []
+    row = pt._ground_row
+
+    def counted(cfg, cutoff):
+        calls.append(cutoff)
+        return row(cfg, cutoff)
+
+    monkeypatch.setattr(pt, "_ground_row", counted)
+    cfg = bm.BagConfig(1.0, 1.0, 0.1)
+    pt.second_order(cfg, 0, pt.PAULI, 64)
+    assert calls == [64]
+    pt.compare(cfg, 0, 64)
+    assert calls == [64, 64]
+
+
 def test_prescription_difference_equals_sea_sum():
     cfg = bm.BagConfig(1.0, 0.0, 1.0)
-    t_pos, t_neg = pt._term_arrays(cfg, 200)
+    t_pos, t_neg, _ = pt._term_arrays(cfg, 200)
     rf = pt.second_order(cfg, 0, pt.FEYNMAN, 200)
     rp = pt.second_order(cfg, 0, pt.PAULI, 200)
     diff = rf.w_second["feynman"] - rp.w_second["pauli"]

@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 from diracbag import backend
 from diracbag import bagmodel as bm
 from diracbag import oracle
+from diracbag import perturb
 from diracbag import shooting as sh
 from diracbag.errors import LevelTrackingError
 
@@ -185,6 +186,37 @@ def test_mode_quality_invariants():
         for i, mi in enumerate(spec.modes):
             for mj in spec.modes[i + 1:]:
                 assert abs(bm.overlap(mi, mj)) < 1e-10
+
+
+def test_modes_built_once_on_first_use(monkeypatch):
+    built = []
+    build = sh._build_mode
+
+    def counted(cfg, eps, index):
+        built.append(index)
+        return build(cfg, eps, index)
+
+    monkeypatch.setattr(sh, "_build_mode", counted)
+    spec = sh.find_levels(bm.BagConfig(1.0, 1.0, 1.0), (-4.0, 4.0))
+    assert built == []
+    assert spec.modes is spec.modes
+    assert spec.mode(0) is spec.modes[list(spec.indices).index(0)]
+    assert built == list(spec.indices)
+    assert [m.energy for m in spec.modes] == list(spec.energies)
+
+
+@pytest.mark.parametrize("a, mass, lam", [(1.0, 1.0, 0.7), (0.7, 0.3, -1.4), (1.5, 1.2, 1.3)])
+def test_hellmann_feynman(a, mass, lam):
+    # d eps_n/d lam = <n|x|n>_lam (Feynman, Phys. Rev. 56, 340, 1939): the
+    # energies' central difference against quadrature over the modes.
+    h = 1e-4
+    spec, up, down = (sh.find_levels(bm.BagConfig(a, mass, lam + d), (-4.0, 4.0))
+                      for d in (0.0, h, -h))
+    assert len(spec.indices) >= 4
+    assert list(up.indices) == list(down.indices) == list(spec.indices)
+    slopes = (up.energies - down.energies) / (2.0 * h)
+    for mode, slope in zip(spec.modes, slopes):
+        assert abs(perturb.x_matrix_element(mode, mode).real - slope) < 1e-6
 
 
 def test_found_roots_have_small_mismatch():
